@@ -9,9 +9,12 @@ performance trajectory of the campaign hot path is recorded commit over
 commit and per language.
 
 Reference point: at the seed revision (before the parse-once rework and the
-closure-compiled executors) this workload ran at ~11.6 variants/sec on the
+table-dispatched executors) this workload ran at ~11.6 variants/sec on the
 development machine; the rebind pipeline now exceeds 5x that on the same
-machine.  Absolute numbers are machine-dependent, so the assertions below
+machine.  The reference interpreter is the single tree-walker of
+``repro.minic.interp`` plus the per-skeleton batch codegen tier; every run
+goes through the campaign supervisor, as ``Campaign.run_sources`` always
+does.  Absolute numbers are machine-dependent, so the assertions below
 pin only machine-independent facts: the structural frontend-pass counts and
 that the rebind pipeline is not slower than the legacy one.
 """

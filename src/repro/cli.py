@@ -265,8 +265,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         reduce_bugs=args.reduce,
         bisect_bugs=args.bisect,
         batch_size=max(0, args.batch_size),
-        persistent_workers=not args.no_persistent_workers,
-        cache_module_results=not args.no_module_cache,
         cache_pipeline_results=not args.no_pipeline_cache,
         shared_memory=not args.no_shared_memory,
         unit_timeout=args.unit_timeout,
@@ -637,18 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
              "observable results are identical either way)",
     )
     campaign.add_argument(
-        "--no-persistent-workers", action="store_true",
-        help="ship full source text in every shard payload instead of "
-             "preloading the corpus into the worker pool once (the legacy "
-             "payload protocol)",
-    )
-    campaign.add_argument(
-        "--no-module-cache", action="store_true",
-        help="disable the campaign-scoped VM-result cache keyed by "
-             "optimized-module content hash (each variant keeps a private "
-             "per-variant cache, the legacy behaviour)",
-    )
-    campaign.add_argument(
         "--no-pipeline-cache", action="store_true",
         help="disable the campaign-scoped pass-pipeline outcome cache keyed "
              "by pre-optimization module content hash (every variant re-runs "
@@ -662,9 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-unit wall-clock deadline (engages the campaign supervisor: "
-             "worker-side alarm plus a parent watchdog that kills and "
-             "respawns a pool stuck past the deadline)",
+        help="per-unit wall-clock deadline (worker-side alarm plus a parent "
+             "watchdog that kills and respawns a pool stuck past the deadline)",
     )
     campaign.add_argument(
         "--max-retries", type=_non_negative_int, default=2, metavar="N",
@@ -674,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--on-fault", choices=["abort", "quarantine"], default="abort",
         help="what to do with a unit that exhausts its retries: abort the "
-             "campaign (legacy fail-fast), or journal a quarantine record, "
+             "campaign naming the unit, or journal a quarantine record, "
              "report it, and keep going; quarantined units are skipped on "
              "--resume instead of re-crashing forever",
     )

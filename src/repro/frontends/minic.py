@@ -39,11 +39,7 @@ class MiniCFrontend(Frontend):
     def run_reference_variant(
         self, variant: BoundVariant, max_steps: int = 200_000
     ) -> ExecutionResult:
-        # The interpreter's closure-compiled function bodies are memoised per
-        # skeleton (they read identifier bindings at execution time), so the
-        # whole file's variant stream shares one translation.
-        compiled = variant.skeleton.metadata.setdefault("interp_compiled", {})
-        return run_unit(variant.program, max_steps=max_steps, compiled=compiled)
+        return run_unit(variant.program, max_steps=max_steps)
 
     def run_reference_batch(self, variants, max_steps: int = 200_000):
         # The batched tier translates the whole skeleton into one generated

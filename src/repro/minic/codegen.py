@@ -1,7 +1,7 @@
 """Batched skeleton execution: one generated Python function per skeleton.
 
-The closure-compiled interpreter tiers (:mod:`repro.minic.interp`) still pay
-a Python call per AST node per step.  For the raw-int subset that dominates
+The reference interpreter (:mod:`repro.minic.interp`) pays a Python call per
+AST node per step.  For the raw-int subset that dominates
 the generated corpus -- plain ``int`` scalars and arrays, goto-free
 structured control flow, ``printf``/``putchar``/``exit``/``abort`` calls in
 statement position -- a skeleton's whole ``main`` can instead be translated
@@ -25,13 +25,13 @@ Exactness contract (the generated tier must be byte-identical to
   back-edge, so a TIMEOUT fires at the same observable boundary as the
   interpreter's per-node checks.
 * **UB semantics.**  Overflow/shift/division/uninitialized-read checks are
-  emitted inline with the interpreter's exact messages (the raw tier's,
-  which match ``_arith_int``).
+  emitted inline with the interpreter's exact messages (those of
+  ``_arith_int``).
 * **Eligibility.**  ``compile_skeleton_runner`` returns ``None`` whenever
   any construct falls outside the subset (other integer types, pointers,
   casts, user function calls, ``goto``/labels, duplicate declared names,
-  value-position builtin calls, ...); callers fall back to the closure
-  tiers, so coverage gaps cost speed, never correctness.
+  value-position builtin calls, ...); callers fall back to the
+  interpreter, so coverage gaps cost speed, never correctness.
 
 Hole sites are compiled to reads/writes of ``HC[k]`` -- the k-th hole's
 bound cell list, resolved per vector from the skeleton binder's
@@ -972,7 +972,7 @@ def compile_skeleton_runner(unit: ast.TranslationUnit, identifiers, binding_maps
         binding_maps: per hole, ``candidate name -> VarDecl``.
 
     Returns ``None`` when any construct is outside the raw subset; callers
-    fall back to the closure-compiled interpreter tiers.
+    fall back to the reference interpreter.
     """
     hole_index = {id(node): k for k, node in enumerate(identifiers)}
     hole_initialized = [

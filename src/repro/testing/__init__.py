@@ -13,6 +13,8 @@ protocol (:mod:`repro.frontends`), selected by ``CampaignConfig.frontend``.
   shards over many skeletons (SPE or naive, prefix or uniform sample), test
   each variant against a matrix of compiler configurations, and merge the
   shard results;
+* :mod:`repro.testing.supervisor` -- the one campaign scheduler: retry,
+  deadlines, bisection and quarantine of failing units;
 * :mod:`repro.testing.executor` -- pluggable shard execution backends
   (serial, process pool);
 * :mod:`repro.testing.coverage` -- pass-event coverage measurement

@@ -1,8 +1,9 @@
-"""Pluggable execution backends for sharded campaigns.
+"""Pluggable execution backends for campaigns and triage.
 
 The campaign harness (:mod:`repro.testing.harness`) splits a run into
-index-range work shards; an *executor* decides how those shards are
-evaluated:
+index-range work shards and hands them to the campaign supervisor
+(:mod:`repro.testing.supervisor`); an *executor* decides where those shards
+are evaluated:
 
 * :class:`SerialExecutor` runs them one after another in-process -- the
   default, and the reference behaviour every parallel backend must match;
@@ -11,49 +12,53 @@ evaluated:
   not pickle) and the campaign config carries its frontend as a registry
   *name*, so shard payloads are language-agnostic and picklable: each worker
   resolves the frontend plug-in and re-extracts its skeletons; results come
-  back as :class:`~repro.testing.harness.CampaignResult` values and are
+  back as :class:`~repro.testing.harness.ShardOutcome` values and are
   merged with :meth:`CampaignResult.merge`.
 
-The process pool is *persistent*: it is spawned lazily on the first parallel
-``map`` and reused by every later call (and by later campaigns in the same
-process) until :meth:`ProcessPoolExecutor.close` -- the executor is a
-context manager, and the harness closes executors it created itself.  A
-campaign's corpus can be *preloaded* into the workers once via
+The process pool is *persistent*: it is spawned lazily on the first
+``submit``/``map`` and reused by every later call (and by later campaigns in
+the same process) until :meth:`ProcessPoolExecutor.close` -- the executor is
+a context manager, and the harness closes executors it created itself.  A
+campaign's corpus is *preloaded* into the workers once via
 :meth:`ProcessPoolExecutor.preload`: sources travel keyed by content sha
 through the pool initializer, and shard payloads then reference them by sha
 instead of re-pickling source text per unit (see
-``harness._slim_shard``/``harness._run_shard_payload``).  Preloading is
-content-addressed and cumulative, so reusing one executor across campaigns
-only respawns the pool when genuinely new sources appear.  By default the
-preloaded corpus travels through one ``multiprocessing.shared_memory``
-segment that every worker maps (source text is decoded lazily per lookup);
-the pickle-through-initializer protocol remains as the automatic fallback
-and as the ``shared_memory=False`` opt-out.  The parent owns the segment:
-workers attach untracked, supervisor ``kill_workers`` respawns re-attach
-the same segment, and ``close`` unlinks it.
+``CampaignSupervisor._payload``/``harness._rehydrate_shard``).  Preloading
+is content-addressed and cumulative, so reusing one executor across
+campaigns only respawns the pool when genuinely new sources appear.  By
+default the preloaded corpus travels through one
+``multiprocessing.shared_memory`` segment that every worker maps (source
+text is decoded lazily per lookup); the pickle-through-initializer protocol
+remains as the automatic fallback and as the ``shared_memory=False``
+opt-out.  The parent owns the segment: workers attach untracked, supervisor
+``kill_workers`` respawns re-attach the same segment, and ``close`` unlinks
+it.
 
-Both backends expose the same ``map(fn, items)`` surface, so anything
-shaped like that (e.g. an MPI or job-queue adapter) can be plugged into
-``Campaign.run_sources(..., executor=...)``.
+Two surfaces plug into the rest of the package:
+
+* **campaigns** (``Campaign.run_sources(..., executor=...)``) need
+  ``submit(fn, item) -> Future`` plus a ``jobs`` worker count, because the
+  supervisor tracks per-future deadlines and retries; ``preload`` and
+  ``kill_workers`` are optional (without ``preload`` payloads carry full
+  source text, without ``kill_workers`` hung workers cannot be reclaimed).
+  :class:`SerialExecutor` is special-cased to run in-process;
+* **triage** (:mod:`repro.triage.reduce`) only needs ``map(fn, items)``.
 
 When a campaign runs with a persistent state directory
-(``CampaignConfig.state_dir``), durability is layered on both sides of the
-executor boundary: shard *workers* append per-unit records to the campaign
-journal themselves (so a record survives worker, pool and parent all dying
--- the payload config carries the state directory across the process
-boundary), and the *parent* streams shard completions through the optional
-``completed`` callback of :func:`map_streaming` to write progress
-checkpoints as results arrive instead of only after the whole pool drains.
+(``CampaignConfig.state_dir``), shard *workers* append per-unit records to
+the campaign journal themselves (so a record survives worker, pool and
+parent all dying -- the payload config carries the state directory across
+the process boundary), and the parent supervisor writes a progress
+checkpoint as each task's outcome arrives.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import inspect
 import json
 import os
 import struct
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from concurrent.futures.process import BrokenProcessPool
 
@@ -64,10 +69,6 @@ except ImportError:  # pragma: no cover - minimal builds
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
-
-#: Optional per-result callback, invoked as each work item completes (in
-#: completion order, which for parallel backends differs from item order).
-CompletedCallback = Callable[[_Result], None]
 
 #: Per-worker-process corpus installed by the pool initializer: content sha
 #: -> source text.  Module-level so shard payloads can reference sources by
@@ -165,19 +166,8 @@ def _build_corpus_segment(sources: dict[str, str]):
 class SerialExecutor:
     """Evaluate work items sequentially in the calling process."""
 
-    def map(
-        self,
-        fn: Callable[[_Item], _Result],
-        items: Iterable[_Item],
-        completed: CompletedCallback | None = None,
-    ) -> list[_Result]:
-        results: list[_Result] = []
-        for item in items:
-            result = fn(item)
-            if completed is not None:
-                completed(result)
-            results.append(result)
-        return results
+    def map(self, fn: Callable[[_Item], _Result], items: Iterable[_Item]) -> list[_Result]:
+        return [fn(item) for item in items]
 
 
 class ProcessPoolExecutor:
@@ -188,9 +178,9 @@ class ProcessPoolExecutor:
             ``fn`` and the items must be picklable; the campaign's shard
             worker is a module-level function for exactly this reason.
 
-    The underlying pool is created lazily on the first parallel ``map`` call
-    and *kept alive* across calls -- worker spawn cost is paid once per
-    corpus, not once per ``map``.  Use as a context manager (or call
+    The underlying pool is created lazily on the first ``submit`` (or
+    parallel ``map``) and *kept alive* across calls -- worker spawn cost is
+    paid once per corpus, not once per call.  Use as a context manager (or call
     :meth:`close`) to shut the workers down; the campaign harness closes
     executors it constructed internally and leaves caller-provided ones
     running for reuse.
@@ -233,7 +223,7 @@ class ProcessPoolExecutor:
 
     def close(self) -> None:
         """Shut down the worker pool (idempotent); the executor stays usable
-        and respawns workers on the next parallel ``map``."""
+        and respawns workers on the next ``submit``."""
         self._shutdown_pool()
         self._release_segment()
 
@@ -333,33 +323,15 @@ class ProcessPoolExecutor:
         """
         return self._ensure_pool().submit(fn, item)
 
-    def map(
-        self,
-        fn: Callable[[_Item], _Result],
-        items: Iterable[_Item],
-        completed: CompletedCallback | None = None,
-    ) -> list[_Result]:
+    def map(self, fn: Callable[[_Item], _Result], items: Iterable[_Item]) -> list[_Result]:
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
-            return SerialExecutor().map(fn, items, completed)
+            return SerialExecutor().map(fn, items)
         pool = self._ensure_pool()
         futures: list[concurrent.futures.Future] = []
         try:
             futures = [pool.submit(fn, item) for item in items]
-            if completed is None:
-                return [future.result() for future in futures]
-            # Single gathering pass: each future's result is consumed exactly
-            # once, streamed to the callback in *completion* order (which is
-            # what lets the harness checkpoint a long campaign's durable
-            # store while other shards are still running) and slotted back
-            # into *submission* order for the return value.
-            results: list[_Result] = [None] * len(futures)  # type: ignore[list-item]
-            slot_of = {future: index for index, future in enumerate(futures)}
-            for future in concurrent.futures.as_completed(futures):
-                result = future.result()
-                results[slot_of[future]] = result
-                completed(result)
-            return results
+            return [future.result() for future in futures]
         except BrokenProcessPool:
             # A worker died abnormally; the pool is unusable.  Drop it so the
             # next map() call starts from a fresh spawn, then surface the
@@ -368,8 +340,8 @@ class ProcessPoolExecutor:
             raise
         except BaseException:
             # One future failed mid-gather: cancel the outstanding ones
-            # before re-raising so an aborting campaign stops burning CPU on
-            # shards whose results nobody will ever read.  Already-running
+            # before re-raising so an aborted batch stops burning CPU on
+            # work whose results nobody will ever read.  Already-running
             # futures cannot be cancelled (stdlib semantics) -- their
             # eventual results/exceptions are consumed silently instead of
             # leaking "exception was never retrieved" noise.
@@ -398,33 +370,6 @@ def _swallow_result(future: concurrent.futures.Future) -> None:
         pass
 
 
-def map_streaming(
-    executor,
-    fn: Callable[[_Item], _Result],
-    items: Sequence[_Item],
-    completed: CompletedCallback | None = None,
-) -> list[_Result]:
-    """``executor.map`` with a completion callback when the backend has one.
-
-    Third-party executors only promise ``map(fn, items)``; both built-in
-    backends additionally accept ``completed``.  This helper feature-detects
-    the parameter so streaming checkpoints degrade gracefully (callback
-    invoked once per result after the fact) on minimal backends.
-    """
-    if completed is None:
-        return executor.map(fn, items)
-    try:
-        accepts = "completed" in inspect.signature(executor.map).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        accepts = False
-    if accepts:
-        return executor.map(fn, items, completed=completed)
-    results = executor.map(fn, items)
-    for result in results:
-        completed(result)
-    return results
-
-
 def default_executor(
     jobs: int | None, shared_memory: bool = True
 ) -> SerialExecutor | ProcessPoolExecutor:
@@ -438,6 +383,5 @@ __all__ = [
     "ProcessPoolExecutor",
     "SerialExecutor",
     "default_executor",
-    "map_streaming",
     "worker_source",
 ]

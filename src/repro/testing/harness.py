@@ -26,7 +26,9 @@ phases:
    re-parse or re-resolve per variant -- and one lowering is shared across
    the whole configuration matrix; source text is rendered only when a bug
    is filed (``use_ast_rebinding=False`` restores the legacy
-   render+reparse pipeline).  Shards carry plain seed source text, so they
+   render+reparse pipeline).  Shards are scheduled by the campaign
+   supervisor (:mod:`repro.testing.supervisor`), which retries, bisects and
+   quarantines failing units.  Shards carry plain seed source text, so they
    can run in worker processes
    (:class:`~repro.testing.executor.ProcessPoolExecutor`) or on another
    machine entirely (``--shard i/n`` on the CLI).
@@ -89,11 +91,10 @@ from repro.store import (
     QuarantineRecord,
     config_fingerprint,
     merge_unit_records,
-    source_sha,
     unit_key_for,
 )
 from repro.testing.bugs import BugDatabase, BugReport
-from repro.testing.executor import SerialExecutor, default_executor, map_streaming
+from repro.testing.executor import SerialExecutor, default_executor
 from repro.testing.oracle import DifferentialOracle, Observation
 
 # The triage engine (repro.triage) is imported lazily inside the methods
@@ -226,11 +227,11 @@ class UnitFailure:
 
 @dataclass
 class ShardOutcome:
-    """What a supervised shard worker returns: per-unit outcomes, not just a
-    merged result.
+    """What a shard worker returns: per-unit outcomes, not just a merged
+    result.
 
     ``result`` merges every unit that *completed* (those were journaled by
-    the worker itself, exactly as in unsupervised mode); ``failed`` lists
+    the worker itself, and ``units_done`` counts them); ``failed`` lists
     the positions (into the dispatched unit tuple) whose unit raised or
     overran its worker-side deadline -- batch-mates of a failing unit still
     produce results in the same pass, so only genuinely failed units are
@@ -241,6 +242,7 @@ class ShardOutcome:
     result: CampaignResult
     failed: tuple[tuple[int, UnitFailure], ...] = ()
     exhausted: bool = False
+    units_done: int = 0
 
 
 @contextlib.contextmanager
@@ -369,20 +371,6 @@ class CampaignConfig:
     #: -- this knob is throughput only, and is excluded from the durable
     #: store's config fingerprint.
     batch_size: int = 32
-    #: Ship the corpus to pool workers once, through the pool initializer:
-    #: sources travel content-addressed (keyed by sha), shard payloads carry
-    #: only unit keys + index slices, and the worker pool is kept alive
-    #: across ``map`` calls (and across campaigns sharing one executor).
-    #: When False, every shard payload carries its full source text -- the
-    #: legacy payload protocol.  Throughput only; fingerprint-excluded.
-    persistent_workers: bool = True
-    #: Share one campaign-scoped VM-execution cache across all oracles,
-    #: keyed by optimized-module content hash -- different variants (and
-    #: different compiler configurations) that lower to the same optimized
-    #: module pay for one VM run campaign-wide instead of one per variant.
-    #: When False, each variant keeps its private per-variant cache (the
-    #: legacy behaviour).  Throughput only; fingerprint-excluded.
-    cache_module_results: bool = True
     #: Share one campaign-scoped pass-pipeline outcome cache across all
     #: oracles, keyed by ``(version, opt_level, machine_bits,
     #: pre-optimization lowered-module hash)`` -- re-compiles of the same
@@ -397,28 +385,26 @@ class CampaignConfig:
     #: text) instead of pickling the corpus dict into every worker's
     #: initializer.  Falls back to the pickle protocol automatically when
     #: shared memory is unavailable.  Only meaningful with
-    #: ``persistent_workers``.  Throughput only; fingerprint-excluded.
+    #: executors that support ``preload``.  Throughput only;
+    #: fingerprint-excluded.
     shared_memory: bool = True
     #: Per-unit wall-clock deadline in seconds, enforced on serial and pooled
     #: backends alike (worker-side ``SIGALRM`` alarm, with a parent-side
     #: watchdog backstop that kills and respawns a pool stuck past the
-    #: deadline).  Setting it engages the campaign supervisor
-    #: (:mod:`repro.testing.supervisor`).  ``None`` disables deadlines.
+    #: deadline).  ``None`` disables deadlines.
     unit_timeout: float | None = None
     #: How many times the supervisor retries a failed or timed-out unit
     #: before resolving it (quarantine or abort, per ``on_fault``).  Retries
     #: degrade down the execution tiers: the first retry disables the
     #: batched reference tier, later ones fall back to the legacy
     #: render+reparse pipeline, so a codegen-tier bug costs one tier, not
-    #: the campaign.  Only meaningful under supervision.
+    #: the campaign.
     max_retries: int = 2
     #: Base of the exponential backoff between retry attempts of one unit
     #: (``retry_backoff * 2**(attempt-1)`` seconds).  Zero disables waiting.
     retry_backoff: float = 0.1
-    #: What to do with a unit that exhausts its retries: ``"abort"`` re-raises
-    #: (the legacy fail-fast behaviour -- with ``unit_timeout`` unset this is
-    #: exactly the historical pipeline, byte-identical journals included),
-    #: ``"quarantine"`` journals a ``type="quarantine"`` record, reports the
+    #: What to do with a unit that exhausts its retries: ``"abort"`` raises
+    #: :class:`UnitExecutionError` naming the unit, ``"quarantine"`` journals a ``type="quarantine"`` record, reports the
     #: unit in ``CampaignResult.quarantined`` and degrades gracefully:
     #: every other unit still produces its result, and resumed runs skip
     #: quarantined units instead of re-crashing on them forever.
@@ -478,16 +464,6 @@ class CampaignConfig:
 
         self.reduce_bugs = normalize_reduce_policy(self.reduce_bugs)
 
-    @property
-    def supervised(self) -> bool:
-        """Does this campaign run under the fault-tolerant supervisor?
-
-        Engaged by any knob that changes failure handling; the default
-        config keeps the historical fail-fast pipeline (and its byte-exact
-        journals) without a supervisor in the loop.
-        """
-        return self.on_fault == "quarantine" or self.unit_timeout is not None
-
     def oracles(self) -> list[DifferentialOracle]:
         return [
             DifferentialOracle(
@@ -516,8 +492,8 @@ class CampaignResult:
     wall_seconds: float = 0.0
     #: Units the supervisor gave up on (exhausted retries): the quarantine
     #: records, deduplicated by unit key.  Empty -- and absent from every
-    #: serialized form -- in fault-free runs, which is what keeps supervised
-    #: no-fault journals byte-identical to unsupervised ones.
+    #: serialized form -- in fault-free runs, which is what keeps no-fault
+    #: journals byte-identical whatever the fault policy.
     quarantined: list[QuarantineRecord] = field(default_factory=list)
     #: Campaign-cache hit/miss counters (module / pipeline / reference
     #: caches), attached at shard granularity -- never to per-unit results,
@@ -591,8 +567,7 @@ class ShardUnit:
     contiguous ``[start, stop)`` range of the canonical enumeration or an
     explicit tuple of sampled ``indices``.
 
-    Under the persistent-pool payload protocol
-    (``CampaignConfig.persistent_workers``), units crossing the process
+    When the executor supports ``preload``, units crossing the process
     boundary are *slim*: ``source`` is empty and ``source_sha`` names the
     text in the worker's preloaded corpus.  The worker rehydrates the full
     source (and clears ``source_sha``) before executing, so everything
@@ -667,9 +642,7 @@ class Campaign:
         # matrix, keyed by optimized-module content hash (see
         # DifferentialOracle._run_shared): variants and configurations that
         # lower to the same module pay for one VM run campaign-wide.
-        self._module_cache: dict | None = (
-            {} if self.config.cache_module_results else None
-        )
+        self._module_cache: dict = {}
         # Campaign-scoped pipeline-outcome cache (see PipelineCache in
         # repro.compiler.driver): one cache serves the whole matrix because
         # entries are keyed by each executor's own (version, level, bits).
@@ -680,8 +653,7 @@ class Campaign:
         # the reference-cache accounting below; snapshotted per shard.
         self._cache_stats: dict[str, int] = {}
         for oracle in self._oracles:
-            if self._module_cache is not None:
-                oracle.shared_module_cache = self._module_cache
+            oracle.shared_module_cache = self._module_cache
             oracle.cache_stats = self._cache_stats
             if self._pipeline_cache is not None:
                 oracle.enable_pipeline_cache(self._pipeline_cache)
@@ -831,8 +803,10 @@ class Campaign:
                 mergeable result (for distributed runs; plan-time skip
                 counters ride with shard 0 so merging all shards reproduces
                 the serial summary).
-            executor: a :mod:`repro.testing.executor` backend; defaults to a
-                process pool when ``config.jobs > 1``, serial otherwise.
+            executor: a :mod:`repro.testing.executor` backend -- a
+                ``SerialExecutor`` or anything with ``submit`` and ``jobs``
+                (``TypeError`` otherwise); defaults to a process pool when
+                ``config.jobs > 1``, serial otherwise.
             resume: replay units already journaled in ``config.state_dir``
                 instead of re-testing them; every stored unit must cover
                 exactly this campaign's compiler versions.  The merged result
@@ -970,72 +944,16 @@ class Campaign:
         executor,
         store: CampaignStore | None,
     ) -> list[CampaignResult]:
-        """Run the partitioned work on the chosen backend, journaling as it goes."""
-        if self.config.supervised:
-            # Fault-tolerant path: per-unit deadlines, retry/backoff with
-            # tier degradation, batch bisection and poison-unit quarantine.
-            # With no faults injected and none occurring, it executes the
-            # same units through the same worker code and journals
-            # byte-identical records.
-            from repro.testing.supervisor import CampaignSupervisor
+        """Run the partitioned work under the campaign supervisor.
 
-            return CampaignSupervisor(self, work, executor, store).run()
-        if isinstance(executor, SerialExecutor):
-            # In-process: no pickling; shards with this campaign's own config
-            # reuse its oracles and caches, delta shards get a private
-            # campaign for their restricted version set.
-            journal = store.writer() if store is not None else None
-            results = []
-            for item in work:
-                campaign = self if item.config is self.config else Campaign(item.config)
-                results.append(campaign._run_shard(item.shard, journal=journal))
-            return results
-        progress = {"shards": 0, "merged": CampaignResult()}
-
-        def on_completed(result: CampaignResult) -> None:
-            # Stream a durable progress checkpoint as each shard result
-            # arrives (merged counters so far, in completion order); unit
-            # records were already journaled by the worker itself.
-            progress["shards"] += 1
-            progress["merged"] = progress["merged"].merge(result)
-            store.checkpoint(progress["shards"], progress["merged"])
-
-        return map_streaming(
-            executor,
-            _run_shard_payload,
-            self._pool_payloads(work, executor),
-            completed=on_completed if store is not None else None,
-        )
-
-    def _pool_payloads(
-        self, work: list["_WorkItem"], executor
-    ) -> list[tuple[CampaignConfig, CampaignShard]]:
-        """Payloads for the process-pool boundary, slimmed when possible.
-
-        Under ``persistent_workers`` (and an executor supporting
-        :meth:`~repro.testing.executor.ProcessPoolExecutor.preload`), the
-        corpus crosses the boundary once, content-addressed through the pool
-        initializer, and shard payloads reference sources by sha -- a unit's
-        source text is never re-pickled per shard.  Otherwise payloads carry
-        full source text (the legacy protocol, and the fallback for
-        third-party executors).
+        The supervisor is the one scheduler: per-unit deadlines, retry with
+        backoff and tier degradation, batch bisection and poison-unit
+        quarantine or abort.  With no faults occurring it runs every unit
+        exactly once and journals the same records whatever the policy.
         """
-        preload = getattr(executor, "preload", None)
-        if not self.config.persistent_workers or preload is None:
-            return [(item.config, item.shard) for item in work]
-        corpus: dict[str, str] = {}
-        payloads: list[tuple[CampaignConfig, CampaignShard]] = []
-        for item in work:
-            units = []
-            for unit in item.shard.units:
-                sha = source_sha(unit.source)
-                corpus[sha] = unit.source
-                units.append(replace(unit, source="", source_sha=sha))
-            payloads.append(
-                (item.config, CampaignShard(index=item.shard.index, units=tuple(units)))
-            )
-        preload(corpus)
-        return payloads
+        from repro.testing.supervisor import CampaignSupervisor
+
+        return CampaignSupervisor(self, work, executor, store).run()
 
     def _run_one_shard(
         self,
@@ -1135,73 +1053,22 @@ class Campaign:
         )
         return len(self._shard_bug_keys) + fresh >= limit
 
-    def _run_shard(self, shard: CampaignShard, journal: JournalWriter | None = None) -> CampaignResult:
-        """Execute one shard, unit by unit.
+    def _run_shard_supervised(
+        self, shard: CampaignShard, journal: JournalWriter | None = None
+    ) -> ShardOutcome:
+        """Execute one shard, unit by unit: failures are *reported*, not raised.
 
         Each unit accumulates into its own result and is merged into the
         shard total -- the per-unit result is exactly what the durable store
         journals, so a crashed run can resume at unit granularity.  A unit
         cut short by ``stop_after_bugs`` is *not* journaled (its record
         would be incomplete); everything before it is.
-        """
-        result = CampaignResult()
-        started = time.perf_counter()
-        stats_entry = self._stats_snapshot()
-        self._shard_bug_keys = set()
-        units_done = 0
-        for unit in shard.units:
-            unit_result = CampaignResult()
-            try:
-                self._run_unit(unit, unit_result)
-            except Exception as error:
-                # Name the unit that failed (seed + index slice + journal
-                # key), not just the raw traceback -- the operator of an
-                # aborted campaign needs to know which work to exclude.
-                raise UnitExecutionError.for_unit(
-                    unit, FAILURE_EXCEPTION, f"{type(error).__name__}: {error}"
-                ) from error
-            exhausted = self._exhausted(unit_result)
-            result = result.merge(unit_result)
-            self._shard_bug_keys = {
-                report.dedup_key for report in result.bugs.reports
-            }
-            units_done += 1
-            if journal is not None and not exhausted:
-                journal.append_unit(unit, self.config.versions, unit_result)
-                if units_done % max(1, self.config.checkpoint_every) == 0:
-                    journal.append_checkpoint(
-                        units_done,
-                        {
-                            "files_processed": result.files_processed,
-                            "variants_tested": result.variants_tested,
-                            "distinct_bugs": len(result.bugs),
-                        },
-                    )
-            if (
-                self.config.fail_after_units is not None
-                and units_done >= self.config.fail_after_units
-            ):
-                raise CampaignInterrupted(
-                    f"fault injection: interrupted after {units_done} units"
-                )
-            if exhausted:
-                break
-        self._shard_bug_keys = set()
-        result.wall_seconds = time.perf_counter() - started
-        result.cache_stats = self._stats_delta(stats_entry)
-        return result
 
-    def _run_shard_supervised(
-        self, shard: CampaignShard, journal: JournalWriter | None = None
-    ) -> ShardOutcome:
-        """Execute one shard under supervision: failures are *reported*, not raised.
-
-        The supervised twin of :meth:`_run_shard`: each unit runs under the
-        worker-side ``unit_timeout`` alarm, and a unit that raises or overruns
-        is recorded in the outcome's ``failed`` list while its batch-mates
-        keep executing -- one pass produces every completable unit's (still
-        byte-identical) journal record plus a precise failure report for the
-        rest, so the parent retries only the genuinely failed units.
+        Each unit runs under the worker-side ``unit_timeout`` alarm, and a
+        unit that raises or overruns is recorded in the outcome's ``failed``
+        list while its batch-mates keep executing -- one pass produces every
+        completable unit's journal record plus a precise failure report for
+        the rest, so the supervisor retries only the genuinely failed units.
         ``CampaignInterrupted`` still propagates: fault *injection of the
         parent/store layer* is outside the unit-failure taxonomy.
         """
@@ -1277,7 +1144,9 @@ class Campaign:
         self._shard_bug_keys = set()
         result.wall_seconds = time.perf_counter() - started
         result.cache_stats = self._stats_delta(stats_entry)
-        return ShardOutcome(result=result, failed=tuple(failed), exhausted=exhausted)
+        return ShardOutcome(
+            result=result, failed=tuple(failed), exhausted=exhausted, units_done=units_done
+        )
 
     def _extract_cached(self, name: str, source: str) -> Skeleton:
         key = (name, hashlib.sha256(source.encode()).hexdigest())
@@ -1532,9 +1401,7 @@ class Campaign:
         Keyed by (source sha, vector) in the campaign-lifetime cache -- the
         batched prefetch (:meth:`_test_variant_chunk`) populates the same
         entries, so a batched run's per-variant loop is all cache hits.
-        Delegates to the frontend, which may memoise per-skeleton work
-        across the file's variant stream (mini-C shares one closure-compiled
-        translation of the function bodies).
+        Delegates to the frontend's reference interpreter.
         """
         key = (self._skeleton_token(variant.skeleton), variant.vector)
         if key in self._reference_cache:
@@ -1731,34 +1598,17 @@ def _rehydrate_shard(shard: CampaignShard) -> CampaignShard:
     )
 
 
-def _run_shard_payload(payload: tuple[CampaignConfig, CampaignShard]) -> CampaignResult:
-    """Module-level shard worker (must be picklable for the process pool).
-
-    When the config carries a ``state_dir``, the worker journals each
-    completed unit itself (the journal supports concurrent line-atomic
-    appenders), so unit outcomes are durable even if the worker, the pool or
-    the parent dies before the shard result is returned.
-    """
-    config, shard = payload
-    shard = _rehydrate_shard(shard)
-    journal = None
-    if config.state_dir is not None:
-        journal = JournalWriter(
-            Path(config.state_dir) / CampaignStore.JOURNAL_NAME,
-            fsync=config.fsync_journal,
-        )
-    try:
-        return Campaign(config)._run_shard(shard, journal=journal)
-    finally:
-        if journal is not None:
-            journal.close()
-
-
 def _run_shard_supervised_payload(
     payload: tuple[CampaignConfig, CampaignShard]
 ) -> ShardOutcome:
-    """Supervised twin of :func:`_run_shard_payload`: returns a
-    :class:`ShardOutcome` so per-unit failures cross the pool as data."""
+    """Module-level shard worker (must be picklable for the process pool).
+
+    Returns a :class:`ShardOutcome`, so per-unit failures cross the pool as
+    data.  When the config carries a ``state_dir``, the worker journals each
+    completed unit itself (the journal supports concurrent line-atomic
+    appenders), so unit outcomes are durable even if the worker, the pool or
+    the parent dies before the outcome is returned.
+    """
     config, shard = payload
     shard = _rehydrate_shard(shard)
     journal = None

@@ -1,15 +1,16 @@
-"""The campaign supervisor: fault-tolerant execution of partitioned work.
+"""The campaign supervisor: the one scheduler of partitioned campaign work.
 
-``Campaign._execute`` routes here when ``CampaignConfig.supervised`` is true
-(an ``--on-fault quarantine`` policy or a ``--unit-timeout`` deadline).  The
-supervisor owns the scheduling loop the plain path delegates to
-``executor.map``, because surviving worker failures needs exactly what
-``map`` cannot give: per-future deadlines, selective retry, and a pool that
-can be killed and respawned mid-run.
+Every ``Campaign.run_sources`` call executes through here, serial or pooled,
+whatever the fault policy.  The supervisor dispatches tasks through
+``executor.submit`` rather than a gathered ``map``, because surviving worker
+failures needs per-future deadlines, selective retry, and a pool that can be
+killed and respawned mid-run.  An executor passed to a campaign must
+therefore offer ``submit`` and ``jobs`` (or be a
+:class:`~repro.testing.executor.SerialExecutor`, which runs in-process).
 
 Failure taxonomy and recovery (see ``docs/ARCHITECTURE.md`` section 9):
 
-* **exception** -- a unit raised in the worker.  The supervised shard runner
+* **exception** -- a unit raised in the worker.  The shard runner
   (:meth:`~repro.testing.harness.Campaign._run_shard_supervised`) catches it
   *per unit* and keeps going, so one pass yields every batch-mate's result
   plus a precise :class:`~repro.testing.harness.UnitFailure`; no bisection
@@ -37,14 +38,14 @@ pipeline -- so a codegen-tier bug costs one tier, not the campaign.  A unit
 that exhausts ``max_retries`` is *resolved*: under ``on_fault="quarantine"``
 it is journaled as a ``type="quarantine"`` record (excluded from resume
 replay, so a deterministic crasher cannot livelock the campaign) and
-surfaced in ``CampaignResult.quarantined``; under ``on_fault="abort"`` the
-run fails fast with a :class:`~repro.testing.harness.UnitExecutionError`
+surfaced in ``CampaignResult.quarantined``; under ``on_fault="abort"`` (the
+default) the run fails with a :class:`~repro.testing.harness.UnitExecutionError`
 naming the unit.
 
-Equivalence contract: with no faults injected and none occurring, the
-supervisor dispatches the same units through the same worker code and the
-journals (and reports) are byte-identical to the unsupervised path -- the
-equivalence and resume suites pin this.
+No-fault contract: with no faults injected and none occurring, every unit
+runs exactly once, in its first tier, so the journal's unit records (and
+the report) do not depend on ``on_fault``, ``unit_timeout`` or the backend
+-- the equivalence, supervision and resume suites pin this.
 
 Caveats by backend: in-process (serial) execution cannot survive a *crash*
 (the campaign process itself dies) or a *hard* hang (no parent watches it);
@@ -118,8 +119,8 @@ class CampaignSupervisor:
 
     Constructed per :meth:`Campaign._execute` call with the already
     partitioned work items; :meth:`run` returns one result per item, aligned
-    with the input (exactly the contract the plain path's ``map`` has), with
-    quarantined units recorded on the item they belonged to.
+    with the input, with quarantined units recorded on the item they
+    belonged to.
     """
 
     #: Slack added to a task's worker-side deadline budget before the parent
@@ -143,17 +144,22 @@ class CampaignSupervisor:
         self.exhausted_items: set[int] = set()
         self._in_flight: dict[Future, _InFlight] = {}
         self._slim = False
-        self._completed = 0
+        self._units_done = 0
         self._progress = CampaignResult()
 
     # -- entry point -------------------------------------------------------
 
     def run(self) -> list[CampaignResult]:
-        if (
-            isinstance(self.executor, SerialExecutor)
-            or not hasattr(self.executor, "submit")
-            or getattr(self.executor, "jobs", 1) <= 1
-        ):
+        if isinstance(self.executor, SerialExecutor):
+            self._run_inline()
+            return self.results
+        if not (hasattr(self.executor, "submit") and hasattr(self.executor, "jobs")):
+            raise TypeError(
+                f"campaign executor {type(self.executor).__name__} must provide "
+                "submit(fn, item) -> Future and a jobs worker count "
+                "(or be a SerialExecutor)"
+            )
+        if (self.executor.jobs or 1) <= 1:
             self._run_inline()
         else:
             self._preload()
@@ -189,10 +195,10 @@ class CampaignSupervisor:
             self.exhausted_items.add(index)
         for position, failure in outcome.failed:
             self._charge(task, task.units[position], failure.kind, failure.detail)
-        self._completed += 1
+        self._units_done += outcome.units_done
         self._progress = self._progress.merge(outcome.result)
         if self.store is not None:
-            self.store.checkpoint(self._completed, self._progress)
+            self.store.checkpoint(self._units_done, self._progress)
 
     def _charge(self, task: _Task, unit: ShardUnit, kind: str, detail: str) -> None:
         """Attribute one failure to one unit: retry with backoff, or resolve."""
@@ -280,7 +286,8 @@ class CampaignSupervisor:
             config = _tier_config(item.config, task.attempt)
             if config is self.campaign.config:
                 # First-tier work under the campaign's own config reuses its
-                # caches, exactly like the unsupervised serial path.
+                # oracles and caches; delta items and degraded retries get a
+                # private campaign for their config.
                 campaign = self.campaign
             else:
                 campaign = Campaign(config)
@@ -292,8 +299,8 @@ class CampaignSupervisor:
 
     def _preload(self) -> None:
         preload = getattr(self.executor, "preload", None)
-        if not self.config.persistent_workers or preload is None:
-            return
+        if preload is None:
+            return  # payloads keep their full source text
         corpus: dict[str, str] = {}
         for item in self.work:
             for unit in item.shard.units:

@@ -34,8 +34,7 @@ def result_tuple(result):
 
 
 def reference(skeleton, vector, max_steps):
-    compiled = skeleton.metadata.setdefault("interp_compiled", {})
-    return run_unit(skeleton.bind(vector), max_steps=max_steps, compiled=compiled)
+    return run_unit(skeleton.bind(vector), max_steps=max_steps)
 
 
 def vectors_for(skeleton, rng: random.Random):

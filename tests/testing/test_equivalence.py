@@ -111,11 +111,6 @@ class TestBatchedEquivalence:
         scalar = Campaign(config(True, batch_size=0)).run_sources(corpus)
         assert result_fingerprint(batched) == result_fingerprint(scalar)
 
-    def test_module_cache_changes_nothing(self, corpus):
-        cached = Campaign(config(True, cache_module_results=True)).run_sources(corpus)
-        uncached = Campaign(config(True, cache_module_results=False)).run_sources(corpus)
-        assert result_fingerprint(cached) == result_fingerprint(uncached)
-
     def test_pipeline_cache_changes_nothing(self, corpus):
         # PR 8: replaying recorded pass-pipeline outcomes (module, triggered
         # faults, crashes) must be observationally invisible.
@@ -138,14 +133,8 @@ class TestBatchedEquivalence:
 
     def test_persistent_pool_identical_to_serial(self, corpus):
         serial = Campaign(config(True)).run_sources(corpus)
-        pooled = Campaign(config(True, jobs=2, persistent_workers=True)).run_sources(
-            corpus, shard_count=4
-        )
-        fat_payload = Campaign(
-            config(True, jobs=2, persistent_workers=False)
-        ).run_sources(corpus, shard_count=4)
+        pooled = Campaign(config(True, jobs=2)).run_sources(corpus, shard_count=4)
         assert result_fingerprint(pooled) == result_fingerprint(serial)
-        assert result_fingerprint(fat_payload) == result_fingerprint(serial)
 
     def test_while_frontend_batched_identical(self):
         from repro.frontends import get_frontend
@@ -175,17 +164,8 @@ class TestBatchedEquivalence:
             # PR 8: pooled-slim rides the shared-memory corpus protocol by
             # default; pooled-pickle pins the legacy initializer protocol and
             # pipeline-cache-off pins the uncached compile path.
-            ("pooled-slim-shm", dict(batch_size=32, jobs=2, persistent_workers=True)),
-            (
-                "pooled-pickle",
-                dict(
-                    batch_size=32,
-                    jobs=2,
-                    persistent_workers=True,
-                    shared_memory=False,
-                ),
-            ),
-            ("pooled-fat", dict(batch_size=32, jobs=2, persistent_workers=False)),
+            ("pooled-slim-shm", dict(batch_size=32, jobs=2)),
+            ("pooled-pickle", dict(batch_size=32, jobs=2, shared_memory=False)),
             ("pipeline-cache-off", dict(batch_size=32, cache_pipeline_results=False)),
         ]
         journals = []
@@ -220,7 +200,7 @@ class TestBatchedEquivalence:
             ("vectorized", dict(batch_size=32)),
             ("scalar", dict(batch_size=0)),
             ("legacy-pipeline", dict(use_ast_rebinding=False)),
-            ("pooled-shm", dict(batch_size=32, jobs=2, persistent_workers=True)),
+            ("pooled-shm", dict(batch_size=32, jobs=2)),
         ]
         journals = []
         for label, overrides in runs:
@@ -302,7 +282,7 @@ class TestBatchedEquivalence:
         runs = [
             ("serial", dict()),
             ("sharded", dict(jobs=2)),
-            ("pooled", dict(batch_size=32, jobs=2, persistent_workers=True)),
+            ("pooled", dict(batch_size=32, jobs=2)),
         ]
         listings = []
         for label, overrides in runs:

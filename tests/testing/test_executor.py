@@ -12,7 +12,6 @@ from repro.testing.executor import (
     ProcessPoolExecutor,
     SerialExecutor,
     default_executor,
-    map_streaming,
     worker_source,
 )
 from repro.testing.harness import Campaign, CampaignConfig, CampaignResult
@@ -82,34 +81,22 @@ class TestExecutors:
 
     def test_jobs_one_pool_never_spawns_workers(self):
         pool = ProcessPoolExecutor(jobs=1)
-        seen = []
-        assert pool.map(_double, [1, 2, 3], completed=seen.append) == [2, 4, 6]
-        assert seen == [2, 4, 6]  # serial: completion order == item order
+        assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
         assert pool._pool is None  # delegated to SerialExecutor, no spawn
 
 
-class TestSinglePassGather:
-    """The pool's map() gathers each future exactly once: callbacks stream in
-    completion order while the return value keeps submission order."""
-
-    def test_return_order_is_submission_order_callbacks_completion_order(self):
+class TestPoolMapOrder:
+    def test_return_order_is_submission_order(self):
         # Three workers, three items whose delays invert completion order
         # (generous gaps so scheduler noise cannot reorder them).
         items = [(0, 0.8), (1, 0.05), (2, 0.4)]
-        completions = []
         with ProcessPoolExecutor(jobs=3) as pool:
-            results = pool.map(_sleep_then_return, items, completed=completions.append)
-        assert results == [0, 1, 2]
-        assert completions == [1, 2, 0]
+            assert pool.map(_sleep_then_return, items) == [0, 1, 2]
 
     def test_each_result_delivered_exactly_once(self):
         items = [(i, 0.01) for i in range(12)]
-        completions = []
         with ProcessPoolExecutor(jobs=4) as pool:
-            results = pool.map(_sleep_then_return, items, completed=completions.append)
-        assert results == list(range(12))
-        assert sorted(completions) == list(range(12))
-        assert len(completions) == 12  # once per item, no double-gathering
+            assert pool.map(_sleep_then_return, items) == list(range(12))
 
 
 class TestExceptionPropagation:
@@ -122,11 +109,14 @@ class TestExceptionPropagation:
             with pytest.raises(ValueError, match="worker exploded"):
                 pool.map(_explode, [1, 2, 3])
 
-    def test_map_streaming_propagates_worker_exception(self):
-        seen = []
+    def test_submit_propagates_worker_exception(self):
+        # The supervisor dispatches through submit(); a task's exception must
+        # reach the caller through its future, not be swallowed by the pool.
         with ProcessPoolExecutor(jobs=2) as pool:
+            future = pool.submit(_explode, 1)
             with pytest.raises(ValueError, match="worker exploded"):
-                map_streaming(pool, _explode, [1, 2, 3], completed=seen.append)
+                future.result(timeout=60)
+            assert pool.submit(_double, 4).result(timeout=60) == 8
 
     def test_pool_survives_an_ordinary_worker_exception(self):
         # A ValueError in a task is not a pool failure; the persistent pool
@@ -243,19 +233,49 @@ class TestFaultContainment:
         assert ran < 7, f"queued futures were not cancelled ({ran}/7 ran)"
 
 
-class TestMapStreamingFeatureDetection:
-    def test_minimal_backend_gets_after_the_fact_callbacks(self):
-        class MinimalExecutor:
-            def map(self, fn, items):
-                return [fn(item) for item in items]
+class _MapOnlyExecutor:
+    """A backend shaped like ``map(fn, items)`` only (no ``submit``)."""
 
-        seen = []
-        results = map_streaming(MinimalExecutor(), _double, [1, 2, 3], completed=seen.append)
-        assert results == [2, 4, 6]
-        assert seen == [2, 4, 6]  # degraded mode: callback once per result
+    jobs = 2
 
-    def test_no_callback_skips_detection(self):
-        assert map_streaming(SerialExecutor(), _double, [1, 2]) == [2, 4]
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class _SubmitOnlyExecutor:
+    """The minimal campaign surface: ``submit`` + ``jobs``, no ``preload``."""
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self.payloads = []
+        self._pool = ProcessPoolExecutor(jobs)
+
+    def submit(self, fn, item):
+        self.payloads.append(item)
+        return self._pool.submit(fn, item)
+
+    def close(self) -> None:
+        self._pool.close()
+
+
+class TestCampaignExecutorSurface:
+    def test_map_only_executor_is_rejected(self):
+        with pytest.raises(TypeError, match="submit"):
+            Campaign(small_config()).run_sources(SEEDS, executor=_MapOnlyExecutor())
+
+    def test_submit_only_executor_ships_full_text_payloads(self):
+        serial = Campaign(small_config()).run_sources(SEEDS)
+        executor = _SubmitOnlyExecutor(jobs=2)
+        try:
+            pooled = Campaign(small_config()).run_sources(
+                SEEDS, shard_count=2, executor=executor
+            )
+        finally:
+            executor.close()
+        assert pooled.summary() == serial.summary()
+        assert bug_keys(pooled) == bug_keys(serial)
+        units = [unit for _, shard in executor.payloads for unit in shard.units]
+        assert units and all(unit.source and not unit.source_sha for unit in units)
 
 
 class TestCampaignResultMerge:

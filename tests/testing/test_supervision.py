@@ -2,9 +2,9 @@
 
 The fault-tolerance contract of the supervisor (``repro.testing.supervisor``):
 
-* **no-fault byte-identity** -- a supervised run with no faults injected
-  journals unit records byte-identical to the unsupervised pipeline and
-  produces the same report;
+* **no-fault byte-identity** -- with no faults injected, a run under the
+  quarantine policy with deadlines journals unit records byte-identical to
+  a default (abort, no deadline) run and produces the same report;
 * **degrade-and-continue** -- an injected crash (worker SIGKILL), hang
   (sleep past ``unit_timeout``) or deterministic exception costs exactly the
   poison unit: it is quarantined after ``max_retries`` and every batch-mate
@@ -155,12 +155,12 @@ def test_injected_exception_quarantined_batchmates_intact(tmp_path, backend):
     assert list(load_quarantine_records(chaos_state / "journal.jsonl")) == [record.key]
 
 
-def test_exception_abort_names_poison_unit_legacy_path():
-    """Unsupervised (fail-fast) runs wrap worker failures with unit context."""
+def test_exception_abort_names_poison_unit():
+    """The default config retries ``max_retries`` times, then aborts with
+    the failing unit's context."""
     corpus = corpus_for("minic")
     config = config_for("minic", chaos=ChaosSpec(raise_at=(1,)))
-    assert not config.supervised
-    with pytest.raises(UnitExecutionError) as excinfo:
+    with pytest.raises(UnitExecutionError, match="after 3 attempts") as excinfo:
         Campaign(config).run_sources(corpus)
     error = excinfo.value
     assert error.unit_name in corpus
@@ -178,7 +178,6 @@ def test_exception_abort_supervised_raises_after_retries():
         max_retries=1,
         chaos=ChaosSpec(raise_at=(1,)),
     )
-    assert config.supervised
     with pytest.raises(UnitExecutionError, match="after 2 attempts"):
         Campaign(config).run_sources(corpus)
 
@@ -345,10 +344,30 @@ def test_tier_config_degradation_ladder():
     assert config_fingerprint(tier2) == config_fingerprint(config)
 
 
-def test_supervised_engagement_conditions():
-    assert not CampaignConfig().supervised
-    assert CampaignConfig(on_fault="quarantine").supervised
-    assert CampaignConfig(unit_timeout=5).supervised
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_checkpoints_count_completed_units(tmp_path, jobs):
+    """Progress checkpoints journal cumulative *units*, not tasks: one per
+    finished task, then the campaign's final one."""
+    corpus = corpus_for("while")
+    config = config_for("while", jobs=jobs, state_dir=str(tmp_path))
+    plan = Campaign(config).plan(corpus, shard_count=jobs)
+    sizes = [len(shard.units) for shard in plan.shards]
+    total = sum(sizes)
+    assert total > len(sizes)  # tasks and units must be distinguishable
+    Campaign(config).run_sources(corpus)
+    with open(tmp_path / "journal.jsonl", encoding="utf-8") as handle:
+        seen = [
+            json.loads(line)["units_seen"]
+            for line in handle
+            if '"type":"checkpoint"' in line
+        ]
+    if jobs == 1:
+        assert seen == [total, total]
+    else:
+        assert seen[0] in sizes and seen[1:] == [total, total]
+
+
+def test_fault_policy_validation():
     with pytest.raises(ValueError):
         CampaignConfig(on_fault="retry")
     with pytest.raises(ValueError):
